@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.analysis.stats import percentile
 from repro.mesh.packet import Packet
 from repro.mesh.simulator import RunResult
 
@@ -23,7 +24,9 @@ class LatencyStats:
 
     Attributes:
         count: Delivered packets included.
-        mean / p50 / p95 / p99 / max: The usual summary points.
+        mean / p50 / p95 / p99 / max: The usual summary points; the
+            percentiles are nearest-rank (:func:`repro.analysis.stats.percentile`),
+            so each is an observed latency.
         mean_slowdown: Mean of latency / shortest-path distance over
             packets with nonzero distance (1.0 = every packet took an
             uncontended shortest path).
@@ -31,9 +34,9 @@ class LatencyStats:
 
     count: int
     mean: float
-    p50: float
-    p95: float
-    p99: float
+    p50: int
+    p95: int
+    p99: int
     max: int
     mean_slowdown: float
 
@@ -53,12 +56,9 @@ def latency_stats(
             slowdown is computed; otherwise it is reported as ``nan``.
     """
     injection = {p.pid: p.injection_time for p in packets}
-    lat = np.array(
-        [t - injection[pid] for pid, t in result.delivery_times.items()],
-        dtype=float,
-    )
-    if lat.size == 0:
-        return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0, float("nan"))
+    lat = sorted(t - injection[pid] for pid, t in result.delivery_times.items())
+    if not lat:
+        return LatencyStats(0, 0.0, 0, 0, 0, 0, float("nan"))
     slowdown = float("nan")
     if distances is not None:
         ratios = [
@@ -68,13 +68,14 @@ def latency_stats(
         ]
         if ratios:
             slowdown = float(np.mean(ratios))
+    p50, p95, p99 = (percentile(lat, q, presorted=True) for q in (50, 95, 99))
     return LatencyStats(
-        count=int(lat.size),
-        mean=float(lat.mean()),
-        p50=float(np.percentile(lat, 50)),
-        p95=float(np.percentile(lat, 95)),
-        p99=float(np.percentile(lat, 99)),
-        max=int(lat.max()),
+        count=len(lat),
+        mean=sum(lat) / len(lat),
+        p50=p50,
+        p95=p95,
+        p99=p99,
+        max=lat[-1],
         mean_slowdown=slowdown,
     )
 

@@ -56,9 +56,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.mesh.directions import Direction
-from repro.mesh.ndtopology import Port
 from repro.mesh.queues import CENTRAL, KIND_CENTRAL, KIND_INCOMING
-from repro.mesh.topology import Topology
+from repro.mesh.topology import Port, Topology
 from repro.mesh.transitions import DRAIN_ALL, DRAIN_ONE, TransitionModel
 
 from repro.analysis.static_check.cdg import (

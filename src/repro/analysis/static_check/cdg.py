@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.mesh.directions import Direction
-from repro.mesh.ndtopology import TOPOLOGY_NAMES, Port, build_topology
 from repro.mesh.queues import CENTRAL, KIND_CENTRAL, KIND_INCOMING
-from repro.mesh.topology import Topology
+from repro.mesh.topology import TOPOLOGY_NAMES, Port, Topology, build_topology
 from repro.mesh.transitions import TransitionModel
 
 #: Verdicts.

@@ -92,13 +92,14 @@ SCOPED_PACKAGES: Tuple[str, ...] = ("mesh", "routing", "tiling", "workloads")
 DOCSTRING_PACKAGES: Tuple[str, ...] = ("perf", "harness", "streaming", "analysis")
 
 #: Individual modules (repro-relative) that get SC005 on top of their
-#: package's rule set: the array backend and its equivalence gate live in
-#: packages outside DOCSTRING_PACKAGES but are infrastructure in the same
-#: sense -- their memory-layout and bit-identity contracts must be written
-#: down where the code is.
+#: package's rule set: the array backend, the topology data model and the
+#: equivalence gate live in packages outside DOCSTRING_PACKAGES but are
+#: infrastructure in the same sense -- their memory-layout, port-encoding
+#: and bit-identity contracts must be written down where the code is.
 DOCSTRING_MODULES: Tuple[str, ...] = (
     "mesh/array_engine.py",
     "mesh/array_state.py",
+    "mesh/topology.py",
     "mesh/transitions.py",
     "verify/engine_equivalence.py",
 )

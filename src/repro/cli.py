@@ -107,9 +107,9 @@ def cmd_route(args: argparse.Namespace) -> int:
     packets = make_workload(args.workload, topology, args.seed)
     sim = Simulator(topology, algorithm, packets, engine=args.engine)
     if args.availability < 1.0:
-        from repro.mesh.asynchrony import make_async
+        from repro.faults import BernoulliLinkPlan
 
-        make_async(sim, args.availability, seed=args.seed)
+        BernoulliLinkPlan(args.availability, seed=args.seed).attach(sim)
     if args.profile:
         from repro.perf import StepInstrumentation, hotspot_table, profile_run
         from repro.perf.profiling import format_phase_summary

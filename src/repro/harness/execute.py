@@ -117,9 +117,9 @@ def _run_route(spec: TrialSpec) -> dict[str, Any]:
     packets = build_workload(spec.workload, topology, spec.seed)
     sim = Simulator(topology, algorithm, packets, engine=spec.engine)
     if spec.availability < 1.0:
-        from repro.mesh.asynchrony import make_async
+        from repro.faults import BernoulliLinkPlan
 
-        make_async(sim, spec.availability, seed=spec.seed)
+        BernoulliLinkPlan(spec.availability, seed=spec.seed).attach(sim)
     result = sim.run(max_steps=spec.max_steps)
     return {
         "algorithm_name": algorithm.name,

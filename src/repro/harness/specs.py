@@ -50,7 +50,7 @@ ROUTE_ALGORITHMS = (
 )
 
 #: Named analysis topologies a ``route``/``bench`` trial may select
-#: (mirrors ``repro.mesh.ndtopology.TOPOLOGY_NAMES``; duplicated literally
+#: (mirrors ``repro.mesh.topology.TOPOLOGY_NAMES``; duplicated literally
 #: so the spec layer stays import-light -- a test asserts the two agree).
 TOPOLOGY_CHOICES = ("mesh", "torus", "mesh3d", "torus3d", "pillar")
 

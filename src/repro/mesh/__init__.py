@@ -20,12 +20,13 @@ destination.
 """
 
 from repro.mesh.directions import Direction, DIRECTIONS
-from repro.mesh.topology import Mesh, Torus, Topology
-from repro.mesh.ndtopology import (
+from repro.mesh.topology import (
+    Mesh,
     MeshND,
-    NdTopology,
     Port,
     SparsePillarMesh,
+    Topology,
+    Torus,
     TorusND,
     TOPOLOGY_NAMES,
     build_topology,
@@ -64,7 +65,6 @@ __all__ = [
     "Torus",
     "Topology",
     "MeshND",
-    "NdTopology",
     "Port",
     "SparsePillarMesh",
     "TorusND",

@@ -50,8 +50,9 @@ class Direction(enum.IntEnum):
     def axis(self) -> int:
         """Coordinate axis this direction moves along (x = 0, y = 1).
 
-        Shared with :class:`repro.mesh.ndtopology.Port` so d-dimensional
-        code can treat the four 2D directions as ports of a 2-axis grid.
+        Shared with :class:`repro.mesh.topology.Port`: the four directions
+        are the ports of every 2D grid (``ports(2)`` is ``DIRECTIONS``), so
+        d-dimensional code reads ``axis``/``sign``/``opposite`` on either.
         """
         return _AXIS[self]
 

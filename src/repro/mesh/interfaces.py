@@ -273,7 +273,7 @@ class RoutingAlgorithm(abc.ABC):
         """
         from repro.mesh.transitions import model_from_contract
 
-        contract = self.contract(max(topology.width, topology.height))
+        contract = self.contract(max(topology.shape))
         return model_from_contract(
             queue_kind=contract.queue_kind,
             minimal=contract.minimal,

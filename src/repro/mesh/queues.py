@@ -34,7 +34,7 @@ def default_incoming_initial_key(profitable: frozenset[Direction]) -> Direction:
     originates there).
 
     The rule is dimension-agnostic (works for :class:`Direction` and for
-    d-dimensional :class:`~repro.mesh.ndtopology.Port` keys alike): take the
+    d-dimensional :class:`~repro.mesh.topology.Port` keys alike): take the
     profitable direction on the lowest axis, positive side first, and use
     its opposite as the inlink — which reduces to the historical
     E->W, W->E, N->S, S->N table in 2D.

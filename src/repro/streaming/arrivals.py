@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left
 
 from repro.faults.plan import counter_draw
-from repro.mesh.topology import Topology
+from repro.mesh.topology import Node, Topology
 
 #: Domain tags keep draws for different purposes statistically independent
 #: even when the remaining counters coincide.
@@ -68,10 +68,10 @@ class DestinationModel:
     def draw(
         self,
         topology: Topology,
-        source: tuple[int, int],
+        source: Node,
         time: int,
         index: int,
-    ) -> tuple[int, int]:
+    ) -> Node:
         """Destination of the ``index``-th arrival at ``source`` during
         ``time``.  Never equals ``source`` (self-traffic would be delivered
         at zero latency and pollute every throughput figure)."""
@@ -80,9 +80,9 @@ class DestinationModel:
     def _uniform_other(
         self,
         topology: Topology,
-        source: tuple[int, int],
+        source: Node,
         u: float,
-    ) -> tuple[int, int]:
+    ) -> Node:
         """Map a uniform draw onto the nodes of ``topology`` minus ``source``."""
         n = topology.num_nodes
         if n < 2:
@@ -90,7 +90,7 @@ class DestinationModel:
         j = min(int(u * (n - 1)), n - 2)
         if j >= topology.node_index(source):
             j += 1
-        return (j // topology.height, j % topology.height)
+        return topology.node_at(j)
 
 
 class UniformDestinations(DestinationModel):
@@ -102,11 +102,11 @@ class UniformDestinations(DestinationModel):
     def draw(
         self,
         topology: Topology,
-        source: tuple[int, int],
+        source: Node,
         time: int,
         index: int,
-    ) -> tuple[int, int]:
-        u = counter_draw(self.seed, _DOMAIN_DEST, source[0], source[1], time, index)
+    ) -> Node:
+        u = counter_draw(self.seed, _DOMAIN_DEST, *source, time, index)
         return self._uniform_other(topology, source, u)
 
 
@@ -125,7 +125,7 @@ class HotspotDestinations(DestinationModel):
     def __init__(
         self,
         fraction: float,
-        hotspot: tuple[int, int] | None = None,
+        hotspot: Node | None = None,
         seed: int = 0,
     ) -> None:
         if not 0.0 <= fraction <= 1.0:
@@ -134,28 +134,28 @@ class HotspotDestinations(DestinationModel):
         self.hotspot = hotspot
         self.seed = seed
 
-    def _hot_node(self, topology: Topology) -> tuple[int, int]:
+    def _hot_node(self, topology: Topology) -> Node:
         if self.hotspot is not None:
             return self.hotspot
-        return (topology.width // 2, topology.height // 2)
+        return tuple(side // 2 for side in topology.shape)
 
     def draw(
         self,
         topology: Topology,
-        source: tuple[int, int],
+        source: Node,
         time: int,
         index: int,
-    ) -> tuple[int, int]:
+    ) -> Node:
         hot = self._hot_node(topology)
         if self.fraction > 0.0 and hot != source:
             u = counter_draw(
-                self.seed, _DOMAIN_HOTSPOT, source[0], source[1], time, index
+                self.seed, _DOMAIN_HOTSPOT, *source, time, index
             )
             if u < self.fraction:
                 return hot
         # Fallback: uniform over the other nodes (also taken by traffic
         # originating *at* the hotspot, which cannot target itself).
-        u = counter_draw(self.seed, _DOMAIN_DEST, source[0], source[1], time, index)
+        u = counter_draw(self.seed, _DOMAIN_DEST, *source, time, index)
         return self._uniform_other(topology, source, u)
 
 
@@ -173,7 +173,7 @@ class ArrivalProcess:
     def __init__(self, destinations: DestinationModel) -> None:
         self.destinations = destinations
 
-    def count(self, source: tuple[int, int], time: int) -> int:
+    def count(self, source: Node, time: int) -> int:
         """Packets offered at ``source`` during step ``time``."""
         raise NotImplementedError
 
@@ -182,8 +182,8 @@ class ArrivalProcess:
         raise NotImplementedError
 
     def arrivals(
-        self, topology: Topology, source: tuple[int, int], time: int
-    ) -> tuple[tuple[int, int], ...]:
+        self, topology: Topology, source: Node, time: int
+    ) -> tuple[Node, ...]:
         """Destinations of every packet offered at ``(source, time)``.
 
         A pure function of the process parameters and its arguments --
@@ -218,10 +218,10 @@ class PoissonArrivals(ArrivalProcess):
         self.rate = float(rate)
         self.seed = seed
 
-    def count(self, source: tuple[int, int], time: int) -> int:
+    def count(self, source: Node, time: int) -> int:
         if self.rate == 0.0:
             return 0
-        u = counter_draw(self.seed, _DOMAIN_COUNT, source[0], source[1], time)
+        u = counter_draw(self.seed, _DOMAIN_COUNT, *source, time)
         return poisson_count(u, self.rate)
 
     def mean_rate(self) -> float:
@@ -272,18 +272,18 @@ class OnOffArrivals(ArrivalProcess):
         # window i; even windows are on, odd are off.  A pure lazy unfold
         # (window i's length depends only on (seed, source, i)), so caching
         # never breaks query-order independence.
-        self._starts: dict[tuple[int, int], list[int]] = {}
+        self._starts: dict[Node, list[int]] = {}
 
-    def _window_len(self, source: tuple[int, int], index: int) -> int:
+    def _window_len(self, source: Node, index: int) -> int:
         mean = self.burst_len if index % 2 == 0 else self.gap_len
         if mean <= 1.0:
             return 1
         u = counter_draw(
-            self.seed, _DOMAIN_WINDOW, source[0], source[1], index
+            self.seed, _DOMAIN_WINDOW, *source, index
         )
         return 1 + int(-(mean - 1.0) * math.log1p(-u))
 
-    def is_on(self, source: tuple[int, int], time: int) -> bool:
+    def is_on(self, source: Node, time: int) -> bool:
         """Is ``source`` inside an on window during step ``time``?"""
         starts = self._starts.get(source)
         if starts is None:
@@ -292,10 +292,10 @@ class OnOffArrivals(ArrivalProcess):
             starts.append(starts[-1] + self._window_len(source, len(starts) - 1))
         return (bisect_left(starts, time + 1) - 1) % 2 == 0
 
-    def count(self, source: tuple[int, int], time: int) -> int:
+    def count(self, source: Node, time: int) -> int:
         if self.rate == 0.0 or not self.is_on(source, time):
             return 0
-        u = counter_draw(self.seed, _DOMAIN_COUNT, source[0], source[1], time)
+        u = counter_draw(self.seed, _DOMAIN_COUNT, *source, time)
         return poisson_count(u, self.rate)
 
     def mean_rate(self) -> float:

@@ -104,7 +104,7 @@ def sweep_saturation(
     parallelizable and the result is identical however they are scheduled.
     """
     result = SweepResult(
-        algorithm=algorithm_name, n=topology.width, process=process
+        algorithm=algorithm_name, n=topology.shape[0], process=process
     )
     for rate in rates:
         report = run_streaming(

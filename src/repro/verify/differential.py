@@ -56,7 +56,7 @@ from repro.verify.oracles import (
 
 FAMILIES = ("permutation", "hh", "torus", "dynamic", "mesh3d", "torus3d", "pillar")
 
-#: The analysis-topology name (see ``repro.mesh.ndtopology.TOPOLOGY_NAMES``)
+#: The analysis-topology name (see ``repro.mesh.topology.TOPOLOGY_NAMES``)
 #: each workload family runs on.  Routers are only exercised on families
 #: whose topology they are registered for (``RouterEntry.topologies``).
 FAMILY_TOPOLOGY: dict[str, str] = {
@@ -279,7 +279,7 @@ def checked_run(
     ]
     checker = InvariantChecker(sim, oracles, mode)
     try:
-        result = sim.run(max_steps or step_budget(topology.width, k))
+        result = sim.run(max_steps or step_budget(topology.shape[0], k))
         checker.finish()
     except VerificationError:
         # Strict mode aborts the run at the first violation; the checker

@@ -350,9 +350,7 @@ def default_oracles(sim: Simulator, *, bound_steps: int | None = None) -> list[O
     the topology's side length is used (when it has one).
     """
     if bound_steps is None:
-        bound_steps = sim.algorithm.permutation_step_bound(
-            max(sim.topology.width, sim.topology.height)
-        )
+        bound_steps = sim.algorithm.permutation_step_bound(max(sim.topology.shape))
     return [
         PacketConservationOracle(),
         QueueBoundOracle(),

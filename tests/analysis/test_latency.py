@@ -50,6 +50,21 @@ class TestLatencyStats:
         stats = latency_stats(result, [p])
         assert stats.mean == 3.0  # latency excludes the waiting-to-inject time
 
+    def test_nearest_rank_goldens(self):
+        """Pinned on one fixed run.  The percentiles are nearest-rank, the
+        definition every other report uses, so each is an observed latency
+        (linear interpolation would give p99 = 18.57 here)."""
+        mesh, packets, result = run(n=12, k=2, seed=0)
+        stats = latency_stats(result, packets)
+        assert (stats.count, stats.p50, stats.p95, stats.p99, stats.max) == (
+            144,
+            8,
+            15,
+            19,
+            20,
+        )
+        assert stats.mean == 1203 / 144
+
     def test_empty_run(self):
         mesh, packets, result = run(packets=[Packet(0, (1, 1), (1, 1))])
         stats = latency_stats(result, packets)

@@ -563,6 +563,11 @@ class TestScoping:
             *DETERMINISM_RULES, "SC005", "SC009"
         )
 
+    def test_topology_module_gets_docstring_rule(self):
+        assert rules_for_path("src/repro/mesh/topology.py") == (
+            *DETERMINISM_RULES, "SC005", "SC009"
+        )
+
     def test_array_kernels_get_every_hazard_rule(self):
         # The numpy kernels get the full stack: package determinism rules,
         # the SC005 prose-contract rule, and the array hazards SC006-SC008.

@@ -8,7 +8,7 @@ Two groups:
   clean against the runtime layers; the wrap/irregular fallbacks must be
   the documented conservative verdicts.
 - the topology vocabulary is spelled as literals in three layers
-  (``repro.mesh.ndtopology``, ``repro.harness.specs``,
+  (``repro.mesh.topology``, ``repro.harness.specs``,
   ``repro.verify.differential``) that import in different directions, so
   these tests pin them to each other.
 """
@@ -36,7 +36,7 @@ from repro.harness.specs import (
     TOPOLOGY_CHOICES,
     VERIFY_FAMILIES,
 )
-from repro.mesh.ndtopology import TOPOLOGY_BUILDERS, TOPOLOGY_NAMES
+from repro.mesh.topology import TOPOLOGY_BUILDERS, TOPOLOGY_NAMES
 from repro.verify.differential import (
     FAMILIES,
     FAMILY_TOPOLOGY,

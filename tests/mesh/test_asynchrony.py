@@ -1,36 +1,35 @@
-"""Tests for the asynchronous-links extension."""
+"""Tests for the asynchronous-links extension: i.i.d. link availability
+(:class:`~repro.faults.BernoulliLinkPlan`) attached to a simulator."""
 
 import pytest
 
+from repro.faults import BernoulliLinkPlan, ConservativeBoundedDimensionOrderRouter
 from repro.mesh import Mesh, Simulator
-from repro.mesh.asynchrony import (
-    ConservativeBoundedDimensionOrderRouter,
-    make_async,
-)
 from repro.mesh.errors import QueueOverflowError
 from repro.routing import BoundedDimensionOrderRouter, GreedyAdaptiveRouter, HotPotatoRouter
 from repro.workloads import random_permutation
 
 
 class TestMakeAsync:
+    """Attaching a Bernoulli link plan to a simulator."""
+
     def test_validation(self):
         mesh = Mesh(4)
         sim = Simulator(mesh, GreedyAdaptiveRouter(2), [])
         with pytest.raises(ValueError):
-            make_async(sim, 0.0)
+            BernoulliLinkPlan(0.0).attach(sim)
         with pytest.raises(ValueError):
-            make_async(sim, 1.5)
+            BernoulliLinkPlan(1.5).attach(sim)
 
     def test_full_availability_is_identity(self):
         mesh = Mesh(10)
         base = Simulator(
             mesh, GreedyAdaptiveRouter(2, "incoming"), random_permutation(mesh, seed=0)
         ).run(10_000)
-        flaky = make_async(
+        flaky = BernoulliLinkPlan(1.0).attach(
             Simulator(
                 mesh, GreedyAdaptiveRouter(2, "incoming"), random_permutation(mesh, seed=0)
-            ),
-            1.0,
+            )
         ).run(10_000)
         assert base.delivery_times == flaky.delivery_times
 
@@ -38,14 +37,12 @@ class TestMakeAsync:
         mesh = Mesh(10)
         runs = []
         for _ in range(2):
-            sim = make_async(
+            sim = BernoulliLinkPlan(0.8, seed=42).attach(
                 Simulator(
                     mesh,
                     GreedyAdaptiveRouter(2, "incoming"),
                     random_permutation(mesh, seed=3),
-                ),
-                0.8,
-                seed=42,
+                )
             )
             runs.append(sim.run(20_000))
         assert runs[0].delivery_times == runs[1].delivery_times
@@ -56,12 +53,10 @@ class TestSynchronyAssumptions:
         """The always-accept N/S rule is sound only because the synchronous
         model guarantees ejection; flaky links void the guarantee."""
         mesh = Mesh(16)
-        sim = make_async(
+        sim = BernoulliLinkPlan(0.9, seed=1).attach(
             Simulator(
                 mesh, BoundedDimensionOrderRouter(1), random_permutation(mesh, seed=0)
-            ),
-            0.9,
-            seed=1,
+            )
         )
         with pytest.raises(QueueOverflowError):
             sim.run(5_000)
@@ -69,14 +64,12 @@ class TestSynchronyAssumptions:
     def test_conservative_variant_is_safe_and_completes(self):
         mesh = Mesh(16)
         for avail in (0.9, 0.7):
-            sim = make_async(
+            sim = BernoulliLinkPlan(avail, seed=1).attach(
                 Simulator(
                     mesh,
                     ConservativeBoundedDimensionOrderRouter(1),
                     random_permutation(mesh, seed=0),
-                ),
-                avail,
-                seed=1,
+                )
             )
             result = sim.run(50_000)
             assert result.completed
@@ -84,14 +77,12 @@ class TestSynchronyAssumptions:
 
     def test_adaptive_incoming_is_robust(self):
         mesh = Mesh(16)
-        sim = make_async(
+        sim = BernoulliLinkPlan(0.7, seed=2).attach(
             Simulator(
                 mesh,
                 GreedyAdaptiveRouter(2, "incoming"),
                 random_permutation(mesh, seed=0),
-            ),
-            0.7,
-            seed=2,
+            )
         )
         result = sim.run(50_000)
         assert result.completed
@@ -100,10 +91,8 @@ class TestSynchronyAssumptions:
         """Deflection routing *requires* draining every packet every step;
         down outlinks make that impossible and the node overflows."""
         mesh = Mesh(16)
-        sim = make_async(
-            Simulator(mesh, HotPotatoRouter(), random_permutation(mesh, seed=0)),
-            0.6,
-            seed=3,
+        sim = BernoulliLinkPlan(0.6, seed=3).attach(
+            Simulator(mesh, HotPotatoRouter(), random_permutation(mesh, seed=0))
         )
         with pytest.raises(QueueOverflowError):
             sim.run(5_000)
@@ -112,14 +101,12 @@ class TestSynchronyAssumptions:
         mesh = Mesh(12)
         steps = {}
         for avail in (1.0, 0.8, 0.6):
-            sim = make_async(
+            sim = BernoulliLinkPlan(avail, seed=4).attach(
                 Simulator(
                     mesh,
                     GreedyAdaptiveRouter(2, "incoming"),
                     random_permutation(mesh, seed=5),
-                ),
-                avail,
-                seed=4,
+                )
             )
             result = sim.run(50_000)
             assert result.completed

@@ -1,10 +1,24 @@
-"""Cross-validation of topology geometry against networkx."""
+"""Cross-validation of topology geometry against networkx.
+
+Each topology is exported to an undirected networkx graph built from its
+own ``neighbors`` links, and its closed-form distances and diameter are
+checked against networkx's independent shortest-path implementation.
+"""
 
 import networkx as nx
 import pytest
 
-from repro.mesh.graph_export import bisection_width, to_networkx
-from repro.mesh.topology import Mesh, Torus
+from repro.mesh.topology import TOPOLOGY_NAMES, Mesh, Torus, build_topology
+
+
+def to_networkx(topology):
+    """The topology as an undirected graph; every link appears once."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.nodes())
+    for node in topology.nodes():
+        for nb in topology.neighbors(node):
+            graph.add_edge(node, nb)
+    return graph
 
 
 class TestToNetworkx:
@@ -36,19 +50,19 @@ class TestToNetworkx:
     def test_mesh_connected(self):
         assert nx.is_connected(to_networkx(Mesh(4, 9)))
 
-
-class TestBisection:
-    def test_mesh_bisection(self):
-        assert bisection_width(Mesh(8)) == 8
-
-    def test_torus_bisection_doubles(self):
-        assert bisection_width(Torus(8)) == 16
-
-    def test_matches_min_cut_reference(self):
-        """The midline crossing count is a valid (and for the mesh, the
-        minimum) balanced cut -- cross-check the edge count via networkx."""
-        topo = Mesh(6)
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_registered_topology_matches_reference(self, name, n):
+        """Every registered topology, odd and even sides: distance and
+        diameter equal networkx's, and the links are symmetric."""
+        topo = build_topology(name, n)
+        for a in topo.nodes():
+            for b in topo.neighbors(a):
+                assert a in topo.neighbors(b), (name, a, b)
         g = to_networkx(topo)
-        left = {(x, y) for x, y in topo.nodes() if x < 3}
-        cut = nx.cut_size(g, left)
-        assert cut == bisection_width(topo)
+        assert g.number_of_nodes() == topo.num_nodes
+        lengths = dict(nx.all_pairs_shortest_path_length(g))
+        for a in topo.nodes():
+            for b in topo.nodes():
+                assert topo.distance(a, b) == lengths[a][b], (name, a, b)
+        assert topo.diameter == nx.diameter(g)

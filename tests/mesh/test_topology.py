@@ -1,9 +1,11 @@
 """Unit tests for mesh and torus topologies."""
 
+import itertools
+
 import pytest
 
-from repro.mesh.directions import Direction
-from repro.mesh.topology import Mesh, Torus
+from repro.mesh.directions import DIRECTIONS, Direction
+from repro.mesh.topology import Mesh, Topology, Torus
 
 
 class TestMesh:
@@ -139,14 +141,14 @@ class TestTorus:
         for size in (2, 4, 6, 8, 10):
             half = size // 2
             for src in range(size):
-                delta = Torus._axis_delta(src, (src + half) % size, size)
+                delta = Topology._axis_delta(src, (src + half) % size, size)
                 assert delta == half
 
     def test_axis_delta_range_and_inverse(self):
         for size in (4, 5, 8):
             for src in range(size):
                 for dst in range(size):
-                    delta = Torus._axis_delta(src, dst, size)
+                    delta = Topology._axis_delta(src, dst, size)
                     assert -size // 2 < delta <= size // 2
                     assert (src + delta) % size == dst
 
@@ -166,3 +168,28 @@ class TestTorus:
             for b in pts:
                 assert t.distance(a, b) == m.distance(a, b)
                 assert t.profitable_directions(a, b) == m.profitable_directions(a, b)
+
+
+class TestTwoAxisForms:
+    """Mesh answers the hot queries with constant-time two-axis forms; each
+    must equal the one class's per-axis form on every pair."""
+
+    SIDES = [(w, h) for w in range(1, 6) for h in range(1, 6)]
+
+    @pytest.mark.parametrize("width,height", SIDES)
+    def test_matches_per_axis_forms(self, width, height):
+        fast = Mesh(width, height)
+        generic = Topology((width, height))
+        assert fast.directions is DIRECTIONS and generic.directions is DIRECTIONS
+        nodes = list(generic.nodes())
+        assert list(fast.nodes()) == nodes
+        for a in nodes:
+            assert fast.node_index(a) == generic.node_index(a)
+            for b in nodes:
+                assert fast.displacement(a, b) == generic.displacement(a, b)
+                assert fast.distance(a, b) == generic.distance(a, b)
+                assert fast.profitable_directions(a, b) == generic.profitable_directions(
+                    a, b
+                )
+        for probe in itertools.product(range(-1, width + 1), range(-1, height + 1)):
+            assert fast.contains(probe) == generic.contains(probe)

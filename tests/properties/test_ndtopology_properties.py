@@ -2,7 +2,7 @@
 
 The 2D suite (``test_topology_properties.py``) pins the compass behaviour
 of :class:`Mesh`/:class:`Torus`; this suite checks the same invariants on
-the data-driven :class:`NdTopology` family for d in 1..4, plus the
+the data-driven :class:`Topology` class for d in 1..4, plus the
 encoding laws of :func:`ports` and an exhaustive BFS cross-check of the
 irregular :class:`SparsePillarMesh` distance closed form.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.directions import DIRECTIONS
-from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND, ports
+from repro.mesh.topology import MeshND, SparsePillarMesh, TorusND, _port_data, ports
 
 
 @st.composite
@@ -143,3 +143,25 @@ def test_pillar_profitable_moves_reduce_bfs_distance():
     assert profitable  # some minimal outlink exists even off-pillar
     for p in profitable:
         assert topo.distance(topo.neighbor(a, p), b) == topo.distance(a, b) - 1
+
+
+def test_pillar_profitable_sets_are_the_shared_canonical_sets():
+    """The pillar mesh derives its profitable sets from distances, but
+    returns the shared per-dimension sets rather than a new set per pair."""
+    topo = SparsePillarMesh(4, layers=3)
+    shared = _port_data(3)[3]
+    for a in [(1, 3, 0), (0, 0, 0), (2, 1, 1)]:
+        for b in topo.nodes():
+            got = topo.profitable_directions(a, b)
+            assert any(got is s for s in shared.values())
+
+
+def test_profitable_sets_are_built_on_demand():
+    """A shape of many axes must not build all 4**dims canonical sets up
+    front: the 4096-node binary 12-cube builds only what it is asked."""
+    cube = MeshND((2,) * 12)
+    sets = _port_data(12)[3]
+    assert len(sets) == 0
+    got = cube.profitable_directions((0,) * 12, (1,) * 12)
+    assert got == frozenset(p for p in ports(12) if p.sign > 0)
+    assert len(sets) == 1

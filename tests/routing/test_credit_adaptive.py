@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.mesh import Mesh, Simulator, Torus
-from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND, build_topology
+from repro.mesh.topology import MeshND, SparsePillarMesh, TorusND, build_topology
 from repro.routing import CreditAdaptiveRouter
 from repro.workloads import random_permutation, transpose_permutation
 

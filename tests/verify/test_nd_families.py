@@ -9,7 +9,7 @@ grids.
 
 import pytest
 
-from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
+from repro.mesh.topology import MeshND, SparsePillarMesh, TorusND
 from repro.verify import (
     REGISTRY,
     build_instance,
