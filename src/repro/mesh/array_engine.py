@@ -33,6 +33,7 @@ protocol.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable
 
 import numpy as np
@@ -63,6 +64,23 @@ _REPR_RANK = np.array([1, 0, 2, 3], dtype=np.int64)
 
 #: Sentinel cost larger than any queue occupancy (credit steering).
 _BIG = np.int64(1) << 60
+
+
+def _new_group(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal sorted keys starts."""
+    newg = np.empty(len(sorted_keys), dtype=bool)
+    newg[:1] = True
+    newg[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return newg
+
+
+def _group_rank(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per position of ``sorted_keys``: whether a run of equal keys starts
+    there, the index of its run, and its rank within the run."""
+    newg = _new_group(sorted_keys)
+    grp = np.cumsum(newg) - 1
+    rank = np.arange(len(sorted_keys), dtype=np.int64) - np.flatnonzero(newg)[grp]
+    return newg, grp, rank
 
 
 class RouterKernel:
@@ -127,9 +145,7 @@ class BoundedDorKernel(RouterKernel):
         slot = (st.posf[act] << 4) | (st.qkey[act] << 2) | desired
         order = np.lexsort((st.qseq[act], slot))
         slot_s = slot[order]
-        first = np.empty(len(slot_s), dtype=bool)
-        first[0] = True
-        first[1:] = slot_s[1:] != slot_s[:-1]
+        first = _new_group(slot_s)
         cand = act[order[first]]
         cslot = slot_s[first]
         cnode = cslot >> 4
@@ -143,9 +159,7 @@ class BoundedDorKernel(RouterKernel):
         nd = (cnode << 2) | cdir
         order2 = np.lexsort((prio, nd))
         nd_s = nd[order2]
-        first2 = np.empty(len(nd_s), dtype=bool)
-        first2[0] = True
-        first2[1:] = nd_s[1:] != nd_s[:-1]
+        first2 = _new_group(nd_s)
         sel = order2[first2]
         return cand[sel], cnode[sel], cdir[sel]
 
@@ -167,9 +181,7 @@ class CentralDorKernel(RouterKernel):
         slot = (st.posf[act] << 2) | desired
         order = np.lexsort((st.qseq[act], slot))
         slot_s = slot[order]
-        first = np.empty(len(slot_s), dtype=bool)
-        first[0] = True
-        first[1:] = slot_s[1:] != slot_s[:-1]
+        first = _new_group(slot_s)
         cand = act[order[first]]
         cslot = slot_s[first]
         return cand, cslot >> 2, cslot & 3
@@ -189,12 +201,7 @@ def _rotating_central_accept(
     prio = (came - (engine.time & 3)) & 3
     order = np.lexsort((prio, tgt))
     tgt_s = tgt[order]
-    newg = np.empty(len(tgt_s), dtype=bool)
-    newg[0] = True
-    newg[1:] = tgt_s[1:] != tgt_s[:-1]
-    starts = np.flatnonzero(newg)
-    grp = np.cumsum(newg) - 1
-    posg = np.arange(len(tgt_s), dtype=np.int64) - starts[grp]
+    posg = _group_rank(tgt_s)[2]
     acc = np.empty(len(tgt_s), dtype=bool)
     acc[order] = posg < free[order]
     return acc
@@ -215,12 +222,7 @@ class HotPotatoKernel(RouterKernel):
         order = np.lexsort((st.pids[act], -st.age[act], node))
         slots = act[order]
         snode = node[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
+        newg, grp, rank = _group_rank(snode)
         un = snode[newg]
         pmask = st.profitable_mask(slots)
         taken = np.zeros(len(un), dtype=np.int64)
@@ -294,12 +296,7 @@ class GreedyAdaptiveKernel(RouterKernel):
             order = np.lexsort((st.qseq[act], _REPR_RANK[st.qkey[act]], node))
         slots = act[order]
         snode = node[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
+        newg, grp, rank = _group_rank(snode)
         pmask = st.profitable_mask(slots)
         taken = np.zeros(int(newg.sum()), dtype=np.int64)
         cdir = np.full(len(slots), -1, dtype=np.int64)
@@ -362,9 +359,7 @@ class FarthestFirstKernel(RouterKernel):
             notstraight = (st.qkey[act] != OPP[desired]).astype(np.int64)
             order = np.lexsort((st.qseq[act], krank, -dist, notstraight, group))
         group_s = group[order]
-        first = np.empty(len(group_s), dtype=bool)
-        first[0] = True
-        first[1:] = group_s[1:] != group_s[:-1]
+        first = _new_group(group_s)
         sel = order[first]
         return act[sel], node[sel], desired[sel]
 
@@ -387,12 +382,7 @@ class FarthestFirstKernel(RouterKernel):
             ttgt = tgt[transit]
             order = np.lexsort((came[transit], -totrem, ttgt))
             tgt_s = ttgt[order]
-            newg = np.empty(len(tgt_s), dtype=bool)
-            newg[0] = True
-            newg[1:] = tgt_s[1:] != tgt_s[:-1]
-            starts = np.flatnonzero(newg)
-            grp = np.cumsum(newg) - 1
-            posg = np.arange(len(tgt_s), dtype=np.int64) - starts[grp]
+            posg = _group_rank(tgt_s)[2]
             free = capacity - st.occ[ttgt, 0]
             acc[transit[order]] = posg < free[order]
         return acc
@@ -425,12 +415,7 @@ class CreditAdaptiveKernel(RouterKernel):
         slots = act[order]
         snode = node[order]
         skey = qkey[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
+        newg, grp, rank = _group_rank(snode)
         pmask = st.profitable_mask(slots)
         taken = np.zeros(int(newg.sum()), dtype=np.int64)
         cdir = np.full(len(slots), -1, dtype=np.int64)
@@ -443,11 +428,7 @@ class CreditAdaptiveKernel(RouterKernel):
             idxk = np.flatnonzero(skey == k)
             if len(idxk) == 0:
                 continue
-            nodek = snode[idxk]
-            firstk = np.empty(len(idxk), dtype=bool)
-            firstk[0] = True
-            firstk[1:] = nodek[1:] != nodek[:-1]
-            heads = idxk[firstk]
+            heads = idxk[_new_group(snode[idxk])]
             ok = heads[((pmask[heads] >> straight) & 1) == 1]
             cdir[ok] = straight
             done[ok] = True
@@ -577,7 +558,6 @@ class ArraySimulator(Simulator):
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
         self._packet_of: list[Packet] = []  # slot -> Packet
-        self._slot_of: dict[int, int] = {}  # pid -> slot (in-network only)
         self._known_pids: set[int] = set()
         self._act = _EMPTY  # slots currently in the network
         self._seq = 0
@@ -596,56 +576,145 @@ class ArraySimulator(Simulator):
         return CENTRAL if self._central else DIRECTIONS[kidx]
 
     def _load_packets(self, packets: Iterable[Packet]) -> None:
-        topology = self.topology
+        """Load the initial packets with array operations.
+
+        The outcome is the reference ``Simulator._load``'s: the same error
+        for the same first bad packet, the same ``delivery_times`` and
+        pending order, and queues whose order the kernels read the same
+        way.  Slots run node by node in order of first appearance,
+        ascending pid within a node (the reference ``originating`` order);
+        a loaded packet's FIFO sequence number is its pid, and queue keys
+        take creation ranks in slot order.
+        """
+        packets = list(packets)
         st = self._state
-        spec = self.spec
-        seen: set[int] = set()
-        originating: dict[tuple[int, int], list[Packet]] = {}
+        n = len(packets)
+        self.total_packets = n
+        pid_list = [p.pid for p in packets]
+        self._known_pids = set(pid_list)
+        src = self._flat_ids([p.source for p in packets])
+        dst = self._flat_ids([p.dest for p in packets])
+        if len(self._known_pids) != n or src is None or dst is None:
+            self._raise_first_bad(packets)
+        late = np.fromiter(
+            (p.injection_time > 0 for p in packets), dtype=bool, count=n
+        )
+        self._pending = sorted(
+            (packets[i] for i in np.flatnonzero(late).tolist()),
+            key=lambda p: (p.injection_time, p.pid),
+        )
+        now = np.flatnonzero(~late)
+        for i in now.tolist():
+            packets[i].pos = packets[i].source
+        home = src[now] == dst[now]
+        self.delivery_times.update(
+            dict.fromkeys([packets[i].pid for i in now[home].tolist()], 0)
+        )
+        go = now[~home]
+        m = len(go)
+        if m == 0:
+            return
+        # Slot order: nodes by first appearance, then ascending pid.
+        node = src[go]
+        pids = np.array(pid_list, dtype=np.int64)[go]
+        by_node = np.argsort(node, kind="stable")
+        newg, grp, _ = _group_rank(node[by_node])
+        first_seen = np.empty(m, dtype=np.int64)
+        first_seen[by_node] = by_node[newg][grp]
+        order = np.lexsort((pids, first_seen))
+        go = go[order]
+        pids = pids[order]
+        self._packet_of = [packets[i] for i in go.tolist()]
+        if st.track_age:
+            for p in self._packet_of:
+                p.state = 0
+        flat = src[go]
+        slots = st.new_slots(pids, flat, dst[go], pids)
+        if not self._central:
+            masks = st.profitable_mask(slots)
+            st.qkey[slots] = self._initial_key_table(masks)[masks]
+        qkey = st.qkey[slots]
+        num_nodes, nk = st.occ.shape
+        st.occ += np.bincount(flat * nk + qkey, minlength=num_nodes * nk).reshape(
+            num_nodes, nk
+        )
+        st.load += np.bincount(flat, minlength=num_nodes)
+        if st.key_rank is not None:
+            # The first packet of each (node, key) in slot order creates it.
+            pair = flat * nk + qkey
+            by_pair = np.argsort(pair, kind="stable")
+            creator = np.zeros(m, dtype=bool)
+            creator[by_pair[_new_group(pair[by_pair])]] = True
+            self._record_key_creations(flat[creator], qkey[creator])
+        if self.validate:
+            self._check_load_capacity(flat)
+        self.max_queue_len = int(st.occ.max())
+        self.max_node_load = int(st.load.max())
+        self._in_flight = m
+        self._act = slots
+        self._seq = int(pids.max()) + 1
+
+    def _flat_ids(self, nodes: list) -> np.ndarray | None:
+        """Flat ids of ``nodes``, or None unless every one is a grid node."""
+        try:
+            if set(map(len, nodes)) - {2}:
+                return None
+            xy = np.fromiter(
+                itertools.chain.from_iterable(nodes),
+                dtype=np.int64,
+                count=2 * len(nodes),
+            )
+        except (TypeError, ValueError, OverflowError):
+            return None
+        x, y = xy[0::2], xy[1::2]
+        height = self._height
+        inside = (x >= 0) & (x < self.topology.width) & (y >= 0) & (y < height)
+        return x * height + y if bool(inside.all()) else None
+
+    def _raise_first_bad(self, packets: list[Packet]) -> None:
+        """Raise the reference engine's error for the first bad packet."""
+        self._known_pids = set()
         for p in packets:
-            if p.pid in seen:
-                raise ValueError(f"duplicate packet id {p.pid}")
-            seen.add(p.pid)
-            if not topology.contains(p.source) or not topology.contains(p.dest):
-                raise ValueError(f"packet {p.pid} endpoints outside topology")
-            self.total_packets += 1
-            if p.injection_time > 0:
-                self._pending.append(p)
-                continue
-            p.pos = p.source
-            if p.source == p.dest:
-                self.delivery_times[p.pid] = 0
-                continue
-            originating.setdefault(p.source, []).append(p)
-        self._known_pids = seen
-        self._pending.sort(key=lambda p: (p.injection_time, p.pid))
-        act: list[int] = []
-        max_pid = -1
-        for node, plist in originating.items():
-            plist.sort(key=lambda p: p.pid)
-            flat = self._flat(node)
-            for p in plist:
-                profitable = topology.profitable_directions(node, p.dest)
-                if st.track_age:
-                    p.state = 0
-                key = spec.initial_key(profitable)
-                kidx = 0 if self._central else int(key)
-                # Load-time FIFO sequence = pid: per-queue load order is
-                # pid-ascending, matching the reference append order.
-                act.append(self._admit(p, flat, kidx, p.pid))
-                if p.pid > max_pid:
-                    max_pid = p.pid
-            if self.validate:
-                self._check_node_capacity(flat, node)
-            self._note_flat_load(flat)
-        self._act = np.array(act, dtype=np.int64) if act else _EMPTY
-        self._seq = max_pid + 1
+            self._check_new_pid(p)
+            self._known_pids.add(p.pid)
+        raise ValueError("packet endpoints are not integer node tuples")
+
+    def _initial_key_table(self, masks: np.ndarray) -> np.ndarray:
+        """``spec.initial_key`` as a table over profitable-direction masks."""
+        table = np.zeros(16, dtype=np.int64)
+        for code in np.flatnonzero(np.bincount(masks, minlength=16)).tolist():
+            profitable = frozenset(d for d in DIRECTIONS if code >> d & 1)
+            table[code] = int(self.spec.initial_key(profitable))
+        return table
+
+    def _check_load_capacity(self, flat: np.ndarray) -> None:
+        """Raise the reference engine's load-time overflow, if any: the
+        first overfull node in order of first appearance (``flat`` is in
+        slot order) and its first overfull queue in creation order."""
+        st = self._state
+        capacity = self.spec.capacity
+        over = st.occ > capacity
+        bad = over.any(axis=1)[flat]
+        if not bool(bad.any()):
+            return
+        node = int(flat[int(np.argmax(bad))])
+        keys = np.flatnonzero(over[node])
+        if st.key_rank is not None:
+            keys = keys[np.argsort(st.key_rank[node, keys], kind="stable")]
+        k = int(keys[0])
+        raise QueueOverflowError(
+            self.algorithm.name,
+            self._node_tuple(node),
+            self._key_object(k),
+            int(st.occ[node, k]),
+            capacity,
+        )
 
     def _admit(self, p: Packet, flat: int, kidx: int, qseq: int) -> int:
         """Place one packet into (flat, kidx) with sequence ``qseq``."""
         st = self._state
         slot = st.new_slot(p.pid, flat, self._flat(p.dest), kidx, qseq)
         self._packet_of.append(p)
-        self._slot_of[p.pid] = slot
         st.occ[flat, kidx] += 1
         st.load[flat] += 1
         self._in_flight += 1
@@ -656,24 +725,6 @@ class ArraySimulator(Simulator):
             st.key_rank[flat, kidx] = st.key_count[flat]
             st.key_count[flat] += 1
         return slot
-
-    def _check_node_capacity(self, flat: int, node: tuple[int, int]) -> None:
-        st = self._state
-        capacity = self.spec.capacity
-        over = [k for k in range(st.num_keys) if st.occ[flat, k] > capacity]
-        if over:
-            # Report the key the reference engine would: first over-capacity
-            # queue in creation order.
-            if st.key_rank is not None:
-                over.sort(key=lambda k: int(st.key_rank[flat, k]))
-            k = over[0]
-            raise QueueOverflowError(
-                self.algorithm.name,
-                node,
-                self._key_object(k),
-                int(st.occ[flat, k]),
-                capacity,
-            )
 
     def _note_flat_load(self, flat: int) -> None:
         st = self._state
@@ -930,7 +981,8 @@ class ArraySimulator(Simulator):
         # Arrival order is (target, inlink direction): targets ascending,
         # multi-offer groups by came_from -- the reference accepted_moves
         # order, which fixes FIFO sequence numbers and key creation order.
-        order = np.lexsort((acame, atgt))
+        # An inlink carries at most one packet, so the packed key is unique.
+        order = np.argsort((atgt << 2) | acame, kind="stable")
         apkt = apkt[order]
         asrc = asrc[order]
         adir = adir[order]
@@ -973,23 +1025,17 @@ class ArraySimulator(Simulator):
                 self._record_key_creations(stgt, skey)
         dpkt = apkt[delivered]
         if len(dpkt):
-            now = self.time
-            delivery_times = self.delivery_times
-            slot_of = self._slot_of
-            pids_arr = st.pids
-            for slot in dpkt.tolist():
-                delivery_times[pids_arr[slot]] = now
-                slot_of.pop(int(pids_arr[slot]), None)
+            self.delivery_times.update(dict.fromkeys(st.pids[dpkt].tolist(), self.time))
             self._in_flight -= len(dpkt)
             st.in_net[dpkt] = False
             act = self._act
             self._act = act[st.in_net[act]]
         # Prune bookkeeping: a node that sent and ended the step empty
         # resets its queue-key creation order (the reference engine deletes
-        # the node dict, losing key insertion order).
+        # the node dict, losing key insertion order).  A node that sent
+        # several packets is reset several times, to the same effect.
         if st.key_rank is not None:
-            sent = np.unique(asrc)
-            emptied = sent[st.load[sent] == 0]
+            emptied = asrc[st.load[asrc] == 0]
             if len(emptied):
                 st.key_rank[emptied] = -1
                 st.key_count[emptied] = 0
@@ -1029,12 +1075,7 @@ class ArraySimulator(Simulator):
         order = np.lexsort((pos, node))
         node_s = node[order]
         key_s = key[order]
-        newg = np.empty(len(node_s), dtype=bool)
-        newg[0] = True
-        newg[1:] = node_s[1:] != node_s[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank_in_node = np.arange(len(node_s), dtype=np.int64) - starts[grp]
+        rank_in_node = _group_rank(node_s)[2]
         st.key_rank[node_s, key_s] = st.key_count[node_s] + rank_in_node
         np.add.at(st.key_count, node_s, 1)
 

@@ -149,6 +149,25 @@ class ArrayState:
             self.age[slot] = 0
         return slot
 
+    def new_slots(
+        self, pids: np.ndarray, posf: np.ndarray, destf: np.ndarray, qseq: np.ndarray
+    ) -> np.ndarray:
+        """Append one slot per packet, all under queue key 0; returns their
+        dense internal ids."""
+        count = len(pids)
+        self.ensure_capacity(count)
+        slots = np.arange(self.size, self.size + count, dtype=np.int64)
+        self.size += count
+        self.pids[slots] = pids
+        self.posf[slots] = posf
+        self.destf[slots] = destf
+        self.qkey[slots] = 0
+        self.qseq[slots] = qseq
+        self.in_net[slots] = True
+        if self.age is not None:
+            self.age[slots] = 0
+        return slots
+
     # -- vectorized displacement geometry -----------------------------------
 
     def displacement(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,11 +55,16 @@ def identity_permutation(topology: Topology) -> list[Packet]:
 def random_permutation(
     topology: Topology, seed: int | np.random.Generator | None = None
 ) -> list[Packet]:
-    """A uniformly random full permutation of the nodes."""
+    """A uniformly random full permutation of the nodes.
+
+    Packet ``i`` leaves the ``i``-th node in :meth:`Topology.nodes` order,
+    which is sorted, so this is :func:`packets_from_mapping` of the same
+    pairs without the sort and the permutation check it cannot fail.
+    """
     rng = _rng(seed)
     nodes = list(topology.nodes())
-    order = rng.permutation(len(nodes))
-    return packets_from_mapping({nodes[i]: nodes[order[i]] for i in range(len(nodes))})
+    dests = [nodes[i] for i in rng.permutation(len(nodes)).tolist()]
+    return list(map(Packet, range(len(nodes)), nodes, dests))
 
 
 def random_partial_permutation(

@@ -7,10 +7,14 @@ and how the backend refuses features it does not model instead of
 guessing at them.
 """
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.mesh import Mesh, Packet, Simulator, Torus
+from repro.mesh import Direction, Mesh, Packet, Simulator, Torus
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
+from repro.mesh.errors import QueueOverflowError
 from repro.routing import (
     AlternatingAdaptiveRouter,
     BoundedDimensionOrderRouter,
@@ -20,6 +24,7 @@ from repro.routing import (
     GreedyAdaptiveRouter,
     HotPotatoRouter,
 )
+from repro.verify.engine_equivalence import LockstepReport, lockstep
 from repro.workloads import random_permutation
 
 
@@ -169,3 +174,219 @@ class TestEngineAccessors:
         )
         assert ra.delivery_times == rr.delivery_times
         assert ra.counters == rr.counters
+
+
+#: One constructor per array kernel and queue regime.
+PORTED_FACTORIES = {
+    "bounded-dor": lambda: BoundedDimensionOrderRouter(2),
+    "dor": lambda: DimensionOrderRouter(4),
+    "hot-potato": lambda: HotPotatoRouter(),
+    "greedy-incoming": lambda: GreedyAdaptiveRouter(2, "incoming"),
+    "greedy-central": lambda: GreedyAdaptiveRouter(4, "central"),
+    "farthest-incoming": lambda: FarthestFirstRouter(2),
+    "farthest-central": lambda: FarthestFirstRouter(2, "central"),
+    "credit-adaptive": lambda: CreditAdaptiveRouter(2),
+}
+
+
+def load_outcome(engine, packets, topology=None, algorithm=None, **kwargs):
+    """The exception type and message a load raises, or None."""
+    topology = topology if topology is not None else Mesh(4)
+    algorithm = algorithm or BoundedDimensionOrderRouter(2)
+    try:
+        Simulator(topology, algorithm, packets, engine=engine, **kwargs)
+    except Exception as exc:  # any error: the outcome is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_load_error(packets, **kwargs):
+    reference = load_outcome("reference", packets, **kwargs)
+    assert reference is not None
+    assert load_outcome("array", packets, **kwargs) == reference
+
+
+def mixed_packets(topology, seed):
+    """A loaded packet list the bulk loader must order like the reference:
+    pending packets, self-addressed ones (at load and pending), several
+    packets per source, unsorted pids and, on the torus, half-way ties."""
+    rng = np.random.default_rng(seed)
+    nodes = list(topology.nodes())
+    width, height = topology.shape
+    hubs = [nodes[i] for i in rng.choice(len(nodes), size=5, replace=False)]
+    pids = rng.permutation(1000)[:40].tolist()
+    packets = []
+    for pid in pids[:30]:
+        source = hubs[int(rng.integers(len(hubs)))]
+        dest = nodes[int(rng.integers(len(nodes)))]
+        packets.append(Packet(pid, source, dest, injection_time=int(rng.integers(-1, 4))))
+    x, y = hubs[0]
+    ties = [
+        ((x + width // 2) % width, (y + height // 2) % height),
+        ((x + width // 2) % width, y),
+        (x, (y + height // 2) % height),
+    ]
+    for pid, dest in zip(pids[30:33], ties):
+        packets.append(Packet(pid, hubs[0], dest))
+    packets.append(Packet(pids[33], hubs[1], hubs[1]))
+    packets.append(Packet(pids[34], hubs[2], hubs[2], injection_time=2))
+    return packets
+
+
+class TestBulkLoad:
+    """The array engine loads its packets in bulk; every load-time outcome
+    must be the reference engine's."""
+
+    def test_duplicate_pid_reported_at_first_repeat(self):
+        packets = [
+            Packet(5, (0, 0), (1, 1)),
+            Packet(7, (1, 0), (2, 2)),
+            Packet(9, (2, 0), (3, 3)),
+            Packet(7, (3, 0), (0, 3)),
+            Packet(5, (0, 1), (1, 3)),
+        ]
+        assert_same_load_error(packets)
+        assert load_outcome("array", packets) == (
+            ValueError,
+            "duplicate packet id 7",
+        )
+
+    @pytest.mark.parametrize(
+        "source, dest",
+        [
+            ((4, 0), (1, 1)),
+            ((0, 0), (1, 4)),
+            ((-1, 2), (1, 1)),
+            ((0, 0), (1, -1)),
+            ((0, 0, 0), (1, 1)),
+            ((0, 0), (1,)),
+        ],
+    )
+    @pytest.mark.parametrize("topology", [Mesh(4), Torus(4)], ids=["mesh", "torus"])
+    def test_endpoint_outside_topology(self, topology, source, dest):
+        packets = [Packet(0, (0, 0), (1, 1)), Packet(3, source, dest)]
+        assert_same_load_error(packets, topology=topology)
+
+    def test_first_bad_packet_wins(self):
+        bad_endpoint_first = [
+            Packet(0, (0, 0), (1, 1)),
+            Packet(1, (9, 9), (1, 1)),
+            Packet(0, (2, 2), (3, 3)),
+        ]
+        duplicate_first = [
+            Packet(0, (0, 0), (1, 1)),
+            Packet(0, (2, 2), (3, 3)),
+            Packet(1, (9, 9), (1, 1)),
+        ]
+        assert_same_load_error(bad_endpoint_first)
+        assert_same_load_error(duplicate_first)
+        assert "outside" in load_outcome("array", bad_endpoint_first)[1]
+        assert "duplicate" in load_outcome("array", duplicate_first)[1]
+
+    @pytest.mark.parametrize("name", sorted(PORTED_FACTORIES))
+    def test_hh_overflow_names_the_same_queue(self, name):
+        """An h-h load with h > k overflows at load under ``validate``: both
+        engines name the same node, key and occupancy."""
+        topology = Mesh(5)
+        nodes = list(topology.nodes())
+        rng = np.random.default_rng(3)
+        packets = []
+        for source in [nodes[7], nodes[2], nodes[19]]:
+            for _ in range(6):
+                dest = nodes[int(rng.integers(len(nodes)))]
+                packets.append(Packet(len(packets), source, dest))
+        errors = []
+        for engine in ("reference", "array"):
+            with pytest.raises(QueueOverflowError) as info:
+                Simulator(topology, PORTED_FACTORIES[name](), packets, engine=engine)
+            e = info.value
+            errors.append((str(e), e.node, repr(e.queue_key), e.occupancy, e.capacity))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BoundedDimensionOrderRouter(1), GreedyAdaptiveRouter(1, "incoming")],
+        ids=["bounded-dor", "greedy-incoming"],
+    )
+    def test_overflow_names_the_first_created_queue(self, algorithm):
+        """Two queues of one node overflow; the one created first (the W
+        queue, by the east-bound pid 0) is named, not the lower key."""
+        packets = [
+            Packet(0, (2, 2), (4, 2)),
+            Packet(1, (2, 2), (0, 2)),
+            Packet(2, (2, 2), (3, 2)),
+            Packet(3, (2, 2), (1, 2)),
+        ]
+        errors = []
+        for engine in ("reference", "array"):
+            with pytest.raises(QueueOverflowError) as info:
+                Simulator(Mesh(5), algorithm, packets, engine=engine)
+            errors.append((str(info.value), repr(info.value.queue_key)))
+        assert errors[0] == errors[1]
+        assert errors[1][1] == repr(Direction.W)
+
+    @pytest.mark.parametrize("name", sorted(PORTED_FACTORIES))
+    @pytest.mark.parametrize("topology", [Mesh(6), Torus(6)], ids=["mesh", "torus"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_load_matches_reference(self, name, topology, seed):
+        packets = mixed_packets(topology, seed)
+        copies = []
+        for engine in ("reference", "array"):
+            copies.append([p.copy() for p in packets])
+            for p in copies[-1]:
+                p.pos = (0, 0)  # left over from an earlier run
+        reference, array = [
+            Simulator(
+                topology, PORTED_FACTORIES[name](), plist, engine=engine, validate=False
+            )
+            for engine, plist in zip(("reference", "array"), copies)
+        ]
+        assert array.engine_name == "array"
+        assert [p.pos for p in copies[1]] == [p.pos for p in copies[0]]
+        assert array.configuration() == reference.configuration()
+        assert list(array.delivery_times.items()) == list(
+            reference.delivery_times.items()
+        )
+        assert [p.pid for p in array._pending] == [p.pid for p in reference._pending]
+        assert (array.max_queue_len, array.max_node_load) == (
+            reference.max_queue_len,
+            reference.max_node_load,
+        )
+        st = array._state
+        if st.key_rank is not None:
+            # Queue keys were created in the reference's dict insertion order.
+            for node, queues in reference.queues.items():
+                flat = array._flat(node)
+                created = sorted(
+                    (k for k in range(4) if st.key_rank[flat, k] >= 0),
+                    key=lambda k: st.key_rank[flat, k],
+                )
+                assert created == [int(key) for key in queues]
+        report = LockstepReport(router=name, family="mixed", n=6, k=2, seed=seed)
+        lockstep(reference, array, 5, report)
+        assert report.ok, report.findings
+
+
+class TestDeliveryTimes:
+    @pytest.mark.parametrize("topology", [Mesh(6), Torus(6)], ids=["mesh", "torus"])
+    def test_plain_int_keys_in_reference_order(self, topology):
+        """Both engines key ``delivery_times`` by plain ``int`` pids in the
+        same order, so results serialize to JSON."""
+        results = []
+        for engine in ("reference", "array"):
+            sim = Simulator(
+                topology,
+                BoundedDimensionOrderRouter(2),
+                mixed_packets(topology, 0),
+                engine=engine,
+                validate=False,
+            )
+            assert sim.engine_name == engine
+            results.append(sim.run(10_000))
+        reference, array = results
+        assert array.completed and reference.completed
+        assert all(type(pid) is int for pid in array.delivery_times)
+        assert list(array.delivery_times.items()) == list(
+            reference.delivery_times.items()
+        )
+        assert json.dumps(array.delivery_times) == json.dumps(reference.delivery_times)

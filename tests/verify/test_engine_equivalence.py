@@ -36,6 +36,15 @@ class TestLockstepCell:
         assert report.ok  # reference-vs-reference, trivially equal
         assert not report.engaged
 
+    def test_capped_cell_at_bench_size(self):
+        """Lockstep at a size the benchmark runs: dtype, index-width and
+        ordering bugs of the bulk loader show at n=256, not at n <= 64.
+        Bounded-dor reads the load-time key creation ranks in its fallback
+        scan, so the first steps check them too."""
+        report = lockstep_cell("bounded-dor", "permutation", 256, 2, 0, max_steps=2)
+        assert report.ok, report.findings
+        assert report.engaged and report.steps == 2
+
     def test_to_metrics_round_trips(self):
         metrics = lockstep_cell("dor", "torus", 6, 2, 0).to_metrics()
         assert metrics["ok"] is True

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import Mesh, Torus
+from repro.mesh import TOPOLOGY_NAMES, Mesh, Torus, build_topology
 from repro.workloads import (
     bit_reversal_permutation,
     identity_permutation,
@@ -93,6 +93,26 @@ class TestGenerators:
         torus = Torus(8)
         packets = random_permutation(torus, seed=3)
         assert_partial_permutation(packets, torus)
+
+
+class TestRandomPermutationPin:
+    """``random_permutation`` builds its packets straight from node order;
+    it must equal the mapping construction it replaced on every topology."""
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    def test_equals_packets_from_mapping(self, name, n, seed):
+        topology = build_topology(name, n)
+        nodes = list(topology.nodes())
+        order = np.random.default_rng(seed).permutation(len(nodes))
+        old = packets_from_mapping({nodes[i]: nodes[order[i]] for i in range(len(nodes))})
+        new = random_permutation(topology, seed=seed)
+
+        def fields(packets):
+            return [(p.pid, p.source, p.dest, p.pos, p.injection_time) for p in packets]
+
+        assert fields(new) == fields(old)
 
 
 class TestPacketsFromMapping:
