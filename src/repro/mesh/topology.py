@@ -375,8 +375,7 @@ class Mesh(Topology):
         self.height = height
 
     def contains(self, node: Node) -> bool:
-        x, y = node
-        return 0 <= x < self.width and 0 <= y < self.height
+        return len(node) == 2 and 0 <= node[0] < self.width and 0 <= node[1] < self.height
 
     def node_index(self, node: Node) -> int:
         return node[0] * self.height + node[1]

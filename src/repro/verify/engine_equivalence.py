@@ -166,6 +166,17 @@ def lockstep(
     compare_final(reference, array, report)
 
 
+def _same(a: Any, b: Any) -> bool:
+    """Equality that also holds dicts to insertion order and key/value
+    types: ``numpy.int64(3) == 3``, so ``!=`` alone would pass results
+    that serialize differently."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a.items()) == list(b.items()) and [
+            (type(k), type(v)) for k, v in a.items()
+        ] == [(type(k), type(v)) for k, v in b.items()]
+    return a == b
+
+
 def compare_final(
     reference: Simulator, array: Simulator, report: LockstepReport
 ) -> None:
@@ -175,7 +186,7 @@ def compare_final(
     for name in _RESULT_FIELDS:
         ref_value = getattr(ref_result, name)
         arr_value = getattr(arr_result, name)
-        if ref_value != arr_value:
+        if not _same(ref_value, arr_value):
             detail = (
                 f"({len(ref_value)} vs {len(arr_value)} entries)"
                 if isinstance(ref_value, dict)
@@ -190,7 +201,7 @@ def compare_final(
                 f"counter {key} mismatch "
                 f"(reference={ref_value!r} array={arr_value!r})"
             )
-    if reference.rejected != array.rejected:
+    if not _same(reference.rejected, array.rejected):
         report.findings.append(
             f"rejected-set mismatch ({len(reference.rejected)} vs "
             f"{len(array.rejected)} packets)"

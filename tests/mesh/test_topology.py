@@ -22,6 +22,8 @@ class TestMesh:
         assert m.contains((0, 0)) and m.contains((3, 3))
         assert not m.contains((4, 0))
         assert not m.contains((0, -1))
+        assert not m.contains((0, 0, 0))
+        assert not m.contains((1,))
 
     def test_interior_degree_four(self):
         m = Mesh(5)

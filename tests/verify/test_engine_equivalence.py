@@ -5,9 +5,11 @@ report ok, and genuinely different traces / silent fallbacks are caught
 (a comparison harness that cannot fail would prove nothing).
 """
 
+import numpy as np
+
 from repro.mesh import Mesh, Simulator
 from repro.verify import ARRAY_PORTED, REGISTRY, lockstep_cell, run_engine_matrix
-from repro.verify.engine_equivalence import LockstepReport, lockstep
+from repro.verify.engine_equivalence import LockstepReport, compare_final, lockstep
 from repro.workloads import random_permutation
 
 
@@ -78,6 +80,56 @@ class TestLockstepDetectsDivergence:
         )
         lockstep(a, b, 100, report)
         assert not report.ok
+
+
+class TestCompareFinal:
+    """``compare_final`` holds ``delivery_times`` and ``rejected`` to key
+    order and key type: ``numpy.int64(3) == 3`` and dict ``==`` ignores
+    order, so plain equality passes results that serialize differently."""
+
+    @staticmethod
+    def finished_pair():
+        topology = Mesh(6)
+        entry = REGISTRY["bounded-dor"]
+        sims = []
+        for _ in range(2):
+            sim = Simulator(
+                topology, entry.factory(2, 0), random_permutation(topology, seed=0)
+            )
+            sim.run(10_000)
+            sims.append(sim)
+        return sims
+
+    @staticmethod
+    def findings(reference, other):
+        report = LockstepReport(
+            router="bounded-dor", family="permutation", n=6, k=2, seed=0
+        )
+        compare_final(reference, other, report)
+        return report.findings
+
+    def test_identical_runs_pass(self):
+        assert self.findings(*self.finished_pair()) == []
+
+    def test_reordered_delivery_times_is_a_finding(self):
+        reference, other = self.finished_pair()
+        other.delivery_times = dict(reversed(list(other.delivery_times.items())))
+        assert other.delivery_times == reference.delivery_times
+        assert any("delivery_times" in f for f in self.findings(reference, other))
+
+    def test_numpy_keyed_delivery_times_is_a_finding(self):
+        reference, other = self.finished_pair()
+        other.delivery_times = {
+            np.int64(pid): t for pid, t in other.delivery_times.items()
+        }
+        assert other.delivery_times == reference.delivery_times
+        assert any("delivery_times" in f for f in self.findings(reference, other))
+
+    def test_numpy_keyed_rejected_is_a_finding(self):
+        reference, other = self.finished_pair()
+        reference.rejected = {7: 3}
+        other.rejected = {np.int64(7): 3}
+        assert any("rejected" in f for f in self.findings(reference, other))
 
 
 class TestEngineMatrix:
