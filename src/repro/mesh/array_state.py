@@ -134,26 +134,15 @@ class ArrayState:
             grown[: self.size] = arr[: self.size]
             setattr(self, name, grown)
 
-    def new_slot(self, pid: int, posf: int, destf: int, qkey: int, qseq: int) -> int:
-        """Append one packet slot; returns its dense internal id."""
-        self.ensure_capacity(1)
-        slot = self.size
-        self.size = slot + 1
-        self.pids[slot] = pid
-        self.posf[slot] = posf
-        self.destf[slot] = destf
-        self.qkey[slot] = qkey
-        self.qseq[slot] = qseq
-        self.in_net[slot] = True
-        if self.age is not None:
-            self.age[slot] = 0
-        return slot
-
     def new_slots(
-        self, pids: np.ndarray, posf: np.ndarray, destf: np.ndarray, qseq: np.ndarray
+        self,
+        pids: np.ndarray,
+        posf: np.ndarray,
+        destf: np.ndarray,
+        qkey: np.ndarray,
+        qseq: np.ndarray,
     ) -> np.ndarray:
-        """Append one slot per packet, all under queue key 0; returns their
-        dense internal ids."""
+        """Append one slot per packet; returns their dense internal ids."""
         count = len(pids)
         self.ensure_capacity(count)
         slots = np.arange(self.size, self.size + count, dtype=np.int64)
@@ -161,17 +150,34 @@ class ArrayState:
         self.pids[slots] = pids
         self.posf[slots] = posf
         self.destf[slots] = destf
-        self.qkey[slots] = 0
+        self.qkey[slots] = qkey
         self.qseq[slots] = qseq
         self.in_net[slots] = True
         if self.age is not None:
             self.age[slots] = 0
         return slots
 
+    def count(self, node: np.ndarray, key: np.ndarray, sign: int) -> None:
+        """Add ``sign`` to ``occ[node, key]`` and ``load[node]`` once per
+        packet, repeated pairs included (``bincount`` sums them)."""
+        num_nodes, nk = self.occ.shape
+        occ = self.occ.reshape(-1)
+        per_queue = np.bincount(node * nk + key, minlength=num_nodes * nk)
+        per_node = np.bincount(node, minlength=num_nodes)
+        if sign > 0:
+            occ += per_queue
+            self.load += per_node
+        else:
+            occ -= per_queue
+            self.load -= per_node
+
     # -- vectorized displacement geometry -----------------------------------
 
-    def displacement(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signed minimal displacement ``(dx, dy)`` per packet slot.
+    def displacement(
+        self, pos: np.ndarray, dest: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Signed minimal displacement ``(dx, dy)`` per (position,
+        destination) pair of flat node ids.
 
         Matches :meth:`repro.mesh.topology.Topology.displacement`: on the
         torus the shorter way around is chosen and an exact
@@ -179,8 +185,6 @@ class ArrayState:
         """
         g = self.geom
         h = g.height
-        pos = self.posf[slots]
-        dest = self.destf[slots]
         px, py = pos // h, pos % h
         dx_, dy_ = dest // h, dest % h
         if g.wraps:
@@ -207,13 +211,14 @@ class ArrayState:
             np.where(dx < 0, DIR_W, np.where(dy > 0, DIR_N, DIR_S)),
         )
 
-    def profitable_mask(self, slots: np.ndarray) -> np.ndarray:
-        """4-bit profitable-outlink mask per packet (bit ``d`` = profitable).
+    def profitable_mask(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """4-bit profitable-outlink mask per (position, destination) pair
+        (bit ``d`` = profitable).
 
         Matches :meth:`Topology.profitable_directions`, including the torus
         tie case where *both* directions of an axis are profitable.
         """
-        dx, dy = self.displacement(slots)
+        dx, dy = self.displacement(pos, dest)
         g = self.geom
         if g.wraps:
             e = dx > 0

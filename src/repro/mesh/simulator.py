@@ -163,6 +163,8 @@ class Simulator:
         record_link_loads: bool = False,
         engine: str = "reference",
     ) -> None:
+        # Run state shared by both engines; engine-specific structures
+        # come from _init_engine().
         self.topology = topology
         self.algorithm = algorithm
         self.interceptor = interceptor
@@ -175,21 +177,13 @@ class Simulator:
         #: repro.faults.plan (fault plans install their filter here).
         self.link_filter: Callable[[tuple[int, int], Direction, int], bool] | None = None
         self.spec = algorithm.queue_spec
-        # Topology-as-data hooks (docs/TOPOLOGY.md): the opposite table and
-        # the queue-key vocabulary come from the topology, so d-dimensional
-        # grids run through the same step loop; routers that adapt to
-        # dimension metadata learn it here, before any packet is loaded.
-        self._opp = topology.opposites
+        # Topology-as-data hooks (docs/TOPOLOGY.md): the queue-key
+        # vocabulary comes from the topology, so d-dimensional grids run
+        # through the same step loop; routers that adapt to dimension
+        # metadata learn it here, before any packet is loaded.
         self.spec.bind_directions(topology.directions)
         algorithm.bind_topology(topology)
-        if algorithm.uses_credit:
-            algorithm.attach_credit_probe(self._downstream_occupancy)
-
-        self._default_after_step = (
-            type(algorithm).after_step is RoutingAlgorithm.after_step
-        )
         self.time = 0
-        self.queues: dict[tuple[int, int], dict[Any, list[Packet]]] = {}
         self.node_states: dict[tuple[int, int], Any] = {}
         self.delivery_times: dict[int, int] = {}
         #: pid -> step at which the packet was dropped (fault handling; see
@@ -218,8 +212,38 @@ class Simulator:
         #: phase boundary to accumulate per-phase wall time.
         self.instrument: Any = None
         self.series: list[StepRecord] = []
+        # Dynamic packets waiting outside the network, kept in (injection
+        # time, pid) order; appends mark the pool dirty and the next
+        # injection pass sorts it (_take_due_pending).
         self._pending: list[Packet] = []
+        self._pending_dirty = False
+        # Every pid ever loaded, injected or rejected: one set answers the
+        # duplicate-pid check whatever became of the packet.
+        self._known_pids: set[int] = set()
         self._in_flight = 0
+        #: Hook points for observers (the repro.verify oracle layer).  Pre
+        #: hooks run at the top of :meth:`step` (before injection and
+        #: scheduling); post hooks run at the very end with the transmitted
+        #: moves.  Both lists are empty by default and cost nothing then.
+        self.pre_step_hooks: list[Callable[["Simulator"], None]] = []
+        self.post_step_hooks: list[
+            Callable[["Simulator", list[ScheduledMove]], None]
+        ] = []
+        self._init_engine()
+        if algorithm.uses_credit:
+            algorithm.attach_credit_probe(self._downstream_occupancy)
+
+        self._load(packets)
+
+    def _init_engine(self) -> None:
+        """Build the reference engine's queues and per-node tables."""
+        topology = self.topology
+        algorithm = self.algorithm
+        self._opp = topology.opposites
+        self._default_after_step = (
+            type(algorithm).after_step is RoutingAlgorithm.after_step
+        )
+        self.queues: dict[tuple[int, int], dict[Any, list[Packet]]] = {}
         # Precomputed geometry (built once per topology, shared across
         # simulators): per-node outlink targets and outlink direction sets.
         self._neighbors: dict[tuple[int, int], tuple[tuple[int, int] | None, ...]] = (
@@ -249,16 +273,6 @@ class Simulator:
         # Hoisted hot-path attributes (bound once; see docs/PERFORMANCE.md).
         self._dest_exchangeable = algorithm.destination_exchangeable
         self._profitable = topology.profitable_directions
-        #: Hook points for observers (the repro.verify oracle layer).  Pre
-        #: hooks run at the top of :meth:`step` (before injection and
-        #: scheduling); post hooks run at the very end with the transmitted
-        #: moves.  Both lists are empty by default and cost nothing then.
-        self.pre_step_hooks: list[Callable[["Simulator"], None]] = []
-        self.post_step_hooks: list[
-            Callable[["Simulator", list[ScheduledMove]], None]
-        ] = []
-
-        self._load(packets)
 
     # -- setup ---------------------------------------------------------------
 
@@ -272,15 +286,9 @@ class Simulator:
         self.link_filter = plan.as_link_filter(self.topology)
 
     def _load(self, packets: Iterable[Packet]) -> None:
-        seen: set[int] = set()
         originating: dict[tuple[int, int], list[Packet]] = {}
         for p in packets:
-            if p.pid in seen:
-                raise ValueError(f"duplicate packet id {p.pid}")
-            seen.add(p.pid)
-            if not self.topology.contains(p.source) or not self.topology.contains(p.dest):
-                raise ValueError(f"packet {p.pid} endpoints outside topology")
-            self.total_packets += 1
+            self._register_packet(p)
             if p.injection_time > 0:
                 self._pending.append(p)
                 continue
@@ -289,28 +297,35 @@ class Simulator:
                 self.delivery_times[p.pid] = 0
                 continue
             originating.setdefault(p.source, []).append(p)
-
-        self._pending.sort(key=lambda p: (p.injection_time, p.pid))
+        self._pending_dirty = True
 
         for node, plist in originating.items():
             plist.sort(key=lambda p: p.pid)
-            node_queues = self.queues.setdefault(node, {})
-            views = []
-            for p in plist:
-                profitable = self.topology.profitable_directions(node, p.dest)
-                p.state = self.algorithm.initial_packet_state(self._make_view(p, profitable))
-                key = self.spec.initial_key(profitable)
-                q = node_queues.setdefault(key, [])
-                q.append(p)
-                self._queue_of[p.pid] = q
-                views.append(self._make_view(p, profitable))
-                self._in_flight += 1
+            views = self._enqueue(node, plist)
             state = self.algorithm.initial_node_state(node, views)
             if state is not None:
                 self.node_states[node] = state
-            self._check_capacity(node)
-            self._note_load(node)
         self._sorted_nodes = sorted(self.queues)
+
+    def _enqueue(self, node: tuple[int, int], packets: list[Packet]) -> list[PacketView]:
+        """Queue ``packets``, which originate at ``node``, under their initial
+        keys, then check capacity and note the load maxima; returns their
+        views."""
+        node_queues = self.queues.setdefault(node, {})
+        views = []
+        for p in packets:
+            p.pos = node
+            profitable = self._profitable(node, p.dest)
+            view = self._make_view(p, profitable)
+            p.state = self.algorithm.initial_packet_state(view)
+            q = node_queues.setdefault(self.spec.initial_key(profitable), [])
+            q.append(p)
+            self._queue_of[p.pid] = q
+            views.append(view)
+        self._in_flight += len(packets)
+        self._check_capacity(node)
+        self._note_load(node)
+        return views
 
     # -- credit probe --------------------------------------------------------
 
@@ -849,39 +864,42 @@ class Simulator:
 
     # -- step helpers ---------------------------------------------------------
 
+    def _take_due_pending(self) -> list[Packet]:
+        """Remove and return the pending packets due this step, in
+        (injection_time, pid) order.
+
+        A packet with injection_time = t is present from the end of step
+        t, so its first move happens during step t+1 -- matching static
+        packets (t = 0, first move at step 1).  Due packets the engine
+        cannot admit go back to the front of the pool, which keeps it in
+        order: they are due before every packet still in it.
+        """
+        pending = self._pending
+        if self._pending_dirty:
+            pending.sort(key=lambda p: (p.injection_time, p.pid))
+            self._pending_dirty = False
+        cut = bisect_left(pending, self.time, key=lambda p: p.injection_time)
+        due = pending[:cut]
+        del pending[:cut]
+        return due
+
     def _inject_pending(self) -> None:
-        if not self._pending:
-            return
-        still_pending: list[Packet] = []
-        for p in self._pending:
-            # A packet with injection_time = t is present from the end of
-            # step t, so its first move happens during step t+1 -- matching
-            # static packets (t = 0, first move at step 1).
-            if p.injection_time >= self.time:
-                still_pending.append(p)
-                continue
-            if p.source == p.dest:
+        refused: list[Packet] = []
+        capacity = self.spec.capacity
+        for p in self._take_due_pending():
+            node = p.source
+            if node == p.dest:
                 self.delivery_times[p.pid] = self.time
                 continue
-            profitable = self.topology.profitable_directions(p.source, p.dest)
-            key = self.spec.initial_key(profitable)
-            if len(self.queues.get(p.source, {}).get(key, ())) >= self.spec.capacity:
-                still_pending.append(p)  # its queue is full; retry next step
+            key = self.spec.initial_key(self._profitable(node, p.dest))
+            if self.queue_occupancy(node, key) >= capacity:
+                refused.append(p)  # its queue is full; retry next step
                 continue
-            p.pos = p.source
-            p.state = self.algorithm.initial_packet_state(self._make_view(p, profitable))
-            node_queues = self.queues.get(p.source)
-            if node_queues is None:
-                self.queues[p.source] = node_queues = {}
-                insort(self._sorted_nodes, p.source)
-            q = node_queues.setdefault(key, [])
-            q.append(p)
-            self._queue_of[p.pid] = q
-            self._in_flight += 1
+            if node not in self.queues:
+                insort(self._sorted_nodes, node)
+            self._enqueue(node, [p])
             self.injected_packets += 1
-            self._check_capacity(p.source)
-            self._note_load(p.source)
-        self._pending = still_pending
+        self._pending[:0] = refused
 
     def _validate_schedule(
         self,
@@ -1001,10 +1019,9 @@ class Simulator:
         source queue has space -- the same rule as load-time dynamic
         packets.
         """
-        self._check_new_pid(packet)
-        self.total_packets += 1
+        self._register_packet(packet)
         self._pending.append(packet)
-        self._pending.sort(key=lambda p: (p.injection_time, p.pid))
+        self._pending_dirty = True
 
     def reject_packet(self, packet: Packet) -> None:
         """Refuse a packet at admission time (open-loop backpressure).
@@ -1017,24 +1034,20 @@ class Simulator:
         as delivered + queued + pending + dropped + rejected == total,
         and :attr:`done` treats them as resolved.
         """
-        self._check_new_pid(packet)
-        self.total_packets += 1
+        self._register_packet(packet)
         self.rejected[packet.pid] = self.time
 
-    def _check_new_pid(self, packet: Packet) -> None:
-        pid = packet.pid
-        if (
-            pid in self._queue_of
-            or pid in self.delivery_times
-            or pid in self.dropped
-            or pid in self.rejected
-            or any(p.pid == pid for p in self._pending)
-        ):
-            raise ValueError(f"duplicate packet id {pid}")
+    def _register_packet(self, packet: Packet) -> None:
+        """Count ``packet`` as one of the run's packets, refusing a pid the
+        run already knows and endpoints outside the topology."""
+        if packet.pid in self._known_pids:
+            raise ValueError(f"duplicate packet id {packet.pid}")
         if not self.topology.contains(packet.source) or not self.topology.contains(
             packet.dest
         ):
-            raise ValueError(f"packet {pid} endpoints outside topology")
+            raise ValueError(f"packet {packet.pid} endpoints outside topology")
+        self._known_pids.add(packet.pid)
+        self.total_packets += 1
 
     # -- driving -----------------------------------------------------------------
 
